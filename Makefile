@@ -20,8 +20,8 @@ test:
 # overload/shed/drain soak under -race (deterministic virtual time, so
 # it is quick), the twd end-to-end durability test (schedule, SIGKILL
 # mid-traffic, restart, verify every acked timer fires or survives),
-# 30-second smokes of the batched-ingress, model-checker (mixed-ops and
-# reset-storm), and WAL-replay fuzz targets,
+# 30-second smokes of the batch-admission, model-checker (mixed-ops and
+# reset-storm), WAL-replay, and replica-stream fuzz targets,
 # a fleet-simulation smoke (`make sim`: 100k virtual connections, the
 # conservation ledger and firing-lag SLO asserted at exit), and a
 # one-iteration benchmark smoke so `make bench` can never rot
@@ -33,7 +33,7 @@ check:
 	$(GO) test -run Overload -race -short ./timer/ ./internal/schemetest/
 	$(GO) test -run=TestE2ECrashRecovery -count=1 -v ./cmd/twd/
 	$(GO) test -race -run=TestE2EFailover -count=1 -v ./cmd/twd/
-	$(GO) test -run=xxx -fuzz=FuzzBatchIngress -fuzztime=30s ./timer/
+	$(GO) test -run=xxx -fuzz=FuzzBatch -fuzztime=30s ./timer/
 	$(GO) test -run=xxx -fuzz=FuzzModelMixedOps -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelResetStorm -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=30s ./internal/wal/
@@ -77,14 +77,14 @@ benchall:
 experiments:
 	$(GO) run ./cmd/twbench | tee results_twbench.txt
 
-# Short fuzz bursts over the conformance and batched-ingress targets.
+# Short fuzz bursts over the conformance and batch-admission targets.
 fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzScheme6Conformance -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzScheme7Conformance -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzHybridConformance -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelMixedOps -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelResetStorm -fuzztime=30s ./internal/schemetest/
-	$(GO) test -run=xxx -fuzz=FuzzBatchIngress -fuzztime=30s ./timer/
+	$(GO) test -run=xxx -fuzz=FuzzBatch -fuzztime=30s ./timer/
 
 fmt:
 	gofmt -w .

@@ -661,16 +661,15 @@ func BenchmarkAblationBitmapAdvance(b *testing.B) {
 
 // BenchmarkRuntimeIngress measures admission throughput for the
 // retransmission pattern (schedule a timeout, cancel it almost always)
-// across the three admission paths — per-op synchronous (one lock
-// acquisition per operation), batched synchronous (one lock per batch
-// of 64), and batched lock-free ingress (one ring reservation per
-// batch; the driver applies intents at tick boundaries, and a pair
-// cancelled within one staging window never touches the wheel) — for
-// 1, 4, and GOMAXPROCS explicit producer goroutines splitting b.N, on
-// both a single runtime and a 4-way sharded facility. The interesting
-// deltas: ingress-batch64 vs sync at the same producer count is the
+// on the two admission shapes — per-op (one lock acquisition per
+// operation) and batched (one lock per batch of 64) — for 1, 4, and
+// GOMAXPROCS explicit producer goroutines splitting b.N, on both a
+// single runtime and a 4-way sharded facility. The interesting deltas:
+// sync-batch64 vs sync at the same producer count is the
 // lock-amortization win; the p4 vs p1 scaling within one mode is the
-// contention story.
+// contention story. The name predates the removal of the lock-free
+// ingress path; it is kept so results compare against earlier
+// baselines.
 func BenchmarkRuntimeIngress(b *testing.B) {
 	producers := []int{1, 4}
 	if p := goruntime.GOMAXPROCS(0); p != 1 && p != 4 {
@@ -717,45 +716,34 @@ func BenchmarkRuntimeIngress(b *testing.B) {
 
 	facilities := []struct {
 		name string
-		mk   func(ingress bool) admitter
+		mk   func() admitter
 	}{
-		{"single", func(ingress bool) admitter {
-			opts := []timer.RuntimeOption{
+		{"single", func() admitter {
+			return timer.NewRuntime(
 				timer.WithGranularity(time.Millisecond),
-				timer.WithScheme(timer.NewHashedWheel(1 << 14)),
-			}
-			if ingress {
-				opts = append(opts, timer.WithIngress(1<<16))
-			}
-			return timer.NewRuntime(opts...)
+				timer.WithScheme(timer.NewHashedWheel(1<<14)),
+			)
 		}},
-		{"sharded-4", func(ingress bool) admitter {
-			opts := []timer.RuntimeOption{
+		{"sharded-4", func() admitter {
+			return timer.NewSharded(4,
 				timer.WithGranularity(time.Millisecond),
 				timer.WithSchemeFactory(func() timer.Scheme { return timer.NewHashedWheel(1 << 14) }),
-			}
-			if ingress {
-				opts = append(opts, timer.WithIngress(1<<16))
-			}
-			return timer.NewSharded(4, opts...)
+			)
 		}},
 	}
 	modes := []struct {
-		name    string
-		ingress bool
-		run     func(*testing.B, admitter, int)
+		name string
+		run  func(*testing.B, admitter, int)
 	}{
-		{"sync", false, perOp},
-		{"sync-batch64", false, batched},
-		{"ingress", true, perOp},
-		{"ingress-batch64", true, batched},
+		{"sync", perOp},
+		{"sync-batch64", batched},
 	}
 
 	for _, f := range facilities {
 		for _, m := range modes {
 			for _, p := range producers {
 				b.Run(fmt.Sprintf("%s/%s/p%d", f.name, m.name, p), func(b *testing.B) {
-					fac := f.mk(m.ingress)
+					fac := f.mk()
 					defer fac.Close()
 					per := b.N / p
 					var wg sync.WaitGroup

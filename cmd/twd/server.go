@@ -228,7 +228,6 @@ func newServer(cfg config) (*server, error) {
 	s.slowNS = slow.Nanoseconds()
 	s.fac = timer.NewSharded(cfg.shards,
 		timer.WithGranularity(cfg.granularity),
-		timer.WithIngress(0),
 		timer.WithJournal(s),
 		timer.WithClockSource(cfg.clk),
 		// The facility's own flight recorder, wall-stamped so
@@ -284,12 +283,11 @@ func newServer(cfg config) (*server, error) {
 func (s *server) TimerArmed(uint64, timer.ID, timer.Tick) {}
 func (s *server) TimerStopped(uint64, timer.ID)           {}
 
+// TimerFired and TimerShed run on a delivery goroutine with no facility
+// lock held, so handlers may call into the facility while holding s.mu
+// (s.mu before the facility lock, never the reverse).
 func (s *server) TimerFired(tag uint64, _ timer.ID, _ int64) { s.onSettled(tag, false) }
-
-// TimerShed runs under a runtime's internal lock when a staged
-// admission is refused; onSettled takes only s.mu and WAL/lease leaf
-// locks, never a facility lock, so the ordering is safe.
-func (s *server) TimerShed(tag uint64, _ timer.ID) { s.onSettled(tag, true) }
+func (s *server) TimerShed(tag uint64, _ timer.ID)           { s.onSettled(tag, true) }
 
 // onSettled retires one delivered (or shed) timer: WAL fire record,
 // lease detach, fired-ring event. Lag is computed against the durable
@@ -701,11 +699,13 @@ func (s *server) handleStop(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "wal_failed", "wal commit: "+err.Error())
 		return
 	}
-	// The WAL cancel wins even if the fire won the facility race: the
-	// journal finds the entry gone and logs nothing.
-	stopped := e.tm.Stop()
+	// The committed cancel is the answer. Stop may lose the race to a
+	// fire already under way and report false, but that fire finds the
+	// entry gone in onSettled and is swallowed: the client never sees
+	// it, so the timer was stopped as far as anyone can observe.
+	e.tm.Stop()
 	s.maybeCompact()
-	writeJSON(w, map[string]any{"stopped": stopped})
+	writeJSON(w, map[string]any{"stopped": true})
 }
 
 func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
@@ -724,6 +724,7 @@ func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.clk.Now()
 	rr := make([]timer.ResetReq, 0, len(req.Resets))
+	resetIDs := make([]uint64, 0, len(req.Resets))
 	// undo records each entry's pre-reset deadline so a WAL failure can
 	// roll the in-memory view back to what replay will reconstruct.
 	type undo struct {
@@ -761,6 +762,7 @@ func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
 		e.deadline = deadline
 		matched++
 		rr = append(rr, timer.ResetReq{T: e.tm, After: after})
+		resetIDs = append(resetIDs, q.ID)
 	}
 	s.mu.Unlock()
 	if matched > 0 {
@@ -775,7 +777,19 @@ func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	accepted, _ := s.fac.ResetBatch(rr)
+	// Re-arm only the entries still live: a stop, lease GC or fire that
+	// retired one after the append has settled it (a stop may already
+	// have recycled its *Timer). Holding s.mu across the call keeps them
+	// from retiring one mid-batch.
+	s.mu.Lock()
+	live := rr[:0]
+	for i, q := range rr {
+		if _, ok := s.entries[resetIDs[i]]; ok {
+			live = append(live, q)
+		}
+	}
+	accepted, _ := s.fac.ResetBatch(live)
+	s.mu.Unlock()
 	s.maybeCompact()
 	writeJSON(w, map[string]any{"matched": matched, "accepted": accepted})
 }

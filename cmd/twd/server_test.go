@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,6 +178,146 @@ func TestStopPreventsFire(t *testing.T) {
 	if st.Stopped {
 		t.Fatal("second stop accepted")
 	}
+}
+
+// TestStopRacingFireAnswersExactly stops many one-tick timers right
+// after their ack, so the stop often lands while the fire is already
+// under way. The answer must match what clients observe: a stop that
+// answers stopped:true is never followed by a fire on /v1/fired, and a
+// stop that answers stopped:false found a timer that fired, so its
+// fire shows up exactly once.
+func TestStopRacingFireAnswersExactly(t *testing.T) {
+	f := newFixture(t, func(c *config) { c.granularity = time.Millisecond })
+	const workers, perWorker = 4, 50
+	type outcome struct {
+		id      uint64
+		stopped bool
+	}
+	outcomes := make(chan outcome, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				var ack scheduledAck
+				if err := postJSON(f.ts.URL+"/v1/schedule", scheduleItem{AfterMS: 1}, &ack); err != nil {
+					t.Error(err)
+					return
+				}
+				var st struct {
+					Stopped bool `json:"stopped"`
+				}
+				if err := postJSON(f.ts.URL+"/v1/stop", map[string]any{"id": ack.ID}, &st); err != nil {
+					t.Error(err)
+					return
+				}
+				outcomes <- outcome{ack.ID, st.Stopped}
+			}
+		}()
+	}
+	wg.Wait()
+	close(outcomes)
+	if t.Failed() {
+		return
+	}
+
+	// Outstanding reaches zero once every fire has been published.
+	deadline := time.Now().Add(5 * time.Second)
+	for f.checkLedger().Outstanding != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("timers still outstanding after every stop")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var fr firedResp
+	f.get("/v1/fired", &fr)
+	seen := make(map[uint64]int, len(fr.Events))
+	for _, ev := range fr.Events {
+		seen[ev.ID]++
+	}
+	var nStopped, nFired int
+	for o := range outcomes {
+		switch {
+		case o.stopped && seen[o.id] != 0:
+			t.Errorf("timer %d answered stopped:true but fired %d times", o.id, seen[o.id])
+		case !o.stopped && seen[o.id] != 1:
+			t.Errorf("timer %d answered stopped:false but fired %d times, want 1", o.id, seen[o.id])
+		}
+		if o.stopped {
+			nStopped++
+		} else {
+			nFired++
+		}
+	}
+	t.Logf("%d stopped, %d fired before their stop", nStopped, nFired)
+}
+
+// TestResetRacingStopNeverRearmsStoppedTimer races /v1/reset against
+// /v1/stop on the same long timers. A stop recycles the timer object,
+// so a reset that found the entry before the stop must not re-arm it
+// after: the facility would then hold timers the daemon no longer
+// tracks.
+func TestResetRacingStopNeverRearmsStoppedTimer(t *testing.T) {
+	f := newFixture(t, nil)
+	const n = 64
+	items := make([]scheduleItem, n)
+	for i := range items {
+		items[i] = scheduleItem{AfterMS: 60_000}
+	}
+	var batch struct {
+		Timers []scheduledAck `json:"timers"`
+	}
+	f.post("/v1/schedule-batch", map[string]any{"timers": items}, &batch, 200)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, a := range batch.Timers {
+			var st struct {
+				Stopped bool `json:"stopped"`
+			}
+			if err := postJSON(f.ts.URL+"/v1/stop", map[string]any{"id": a.ID}, &st); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, a := range batch.Timers {
+			var rr struct {
+				Matched int `json:"matched"`
+			}
+			body := map[string]any{"resets": []map[string]any{{"id": a.ID, "after_ms": 60_000}}}
+			if err := postJSON(f.ts.URL+"/v1/reset", body, &rr); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	// Recycled objects are reused by the next admissions.
+	f.post("/v1/schedule-batch", map[string]any{"timers": items}, &batch, 200)
+	h := f.checkLedger()
+	if got := f.srv.fac.Outstanding(); got != h.Outstanding {
+		t.Fatalf("facility holds %d timers, daemon tracks %d", got, h.Outstanding)
+	}
+}
+
+// postJSON is fixture.post for goroutines other than the test's own: it
+// reports failure as an error instead of failing the test.
+func postJSON(url string, body, out any) error {
+	raw, _ := json.Marshal(body)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return fmt.Errorf("POST %s: %w", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST %s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func TestResetPullsDeadlineIn(t *testing.T) {

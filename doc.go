@@ -11,16 +11,13 @@
 // # The Reset contract
 //
 // Re-arming a live timer (the retransmission idiom: every ACK pushes
-// the timeout out) is a first-class verb with one behavior and two
-// report precisions. At the facility layer, schemes implementing
-// core.Resetter — the grouped sorting queue, timer.NewGroupedQueue —
-// re-arm the same entry in place in O(1); a reset of a fired or
-// stopped timer is refused with no side effects. At the runtime layer,
-// Timer.Reset re-arms unconditionally: a synchronous Runtime reports
-// wasPending exactly, while a WithIngress Runtime's report is advisory
-// (true whenever no Stop was committed, even if the action already
-// ran) and only a committed Stop refuses a Reset (ErrStopPending).
-// DESIGN.md section 16 states the contract and the gsq invariants in
-// full; internal/schemetest pins both with conformance and
-// differential model-checker suites.
+// the timeout out) is a first-class verb with one exact contract. At
+// the facility layer, schemes implementing core.Resetter — the grouped
+// sorting queue, timer.NewGroupedQueue — re-arm the same entry in place
+// in O(1); a reset of a fired or stopped timer is refused with no side
+// effects. At the runtime layer, Timer.Reset re-arms unconditionally
+// and reports wasPending exactly; only a draining or closed Runtime
+// refuses it. DESIGN.md section 16 states the contract and the gsq
+// invariants in full; internal/schemetest pins both with conformance
+// and differential model-checker suites.
 package timingwheels

@@ -17,9 +17,8 @@ import (
 // minimal reproducer. The conformance suite above checks each scheme
 // against the oracle through one fixed driver; the model checker
 // additionally abstracts the SUBJECT, so the same scripts run against
-// raw facilities, the Runtime's synchronous path, the batch APIs, and
-// the WithIngress staging path — any two of which diverging on what
-// fires when is a bug in one of them.
+// raw facilities, the Runtime's per-op path, and its batch APIs — any
+// two of which diverging on what fires when is a bug in one of them.
 
 // OpKind enumerates the model checker's operation language.
 type OpKind uint8
@@ -32,9 +31,7 @@ const (
 	// OpStop cancels a live timer. Key is resolved positionally against
 	// the executor's sorted live-key set, so scripts stay meaningful
 	// under shrinking. A stopped timer's key is retired: the public
-	// contract is that a Timer is not touched after a stop, and the
-	// paths under test are allowed to differ on what a post-stop Reset
-	// does (ErrStopPending on ingress, silent re-arm on the sync path).
+	// contract is that a Timer is not touched after a stop.
 	OpStop
 	// OpReset re-arms a live or fired timer Interval ticks from now.
 	OpReset
@@ -189,9 +186,9 @@ func DecodeScript(data []byte) Script {
 type Subject interface {
 	Name() string
 	// Exact reports whether per-op Stop/Reset results are comparable to
-	// the oracle. Batch subjects (results are aggregate counts) and
-	// ingress subjects (Stop is advisory by contract) return false;
-	// their fired sets and pending counts are still checked exactly.
+	// the oracle. Batch subjects (results are aggregate counts) return
+	// false; their fired sets and pending counts are still checked
+	// exactly.
 	Exact() bool
 	Schedule(key int, interval int64) error
 	// Stop cancels key's timer, reporting whether it was (observed)
@@ -206,7 +203,7 @@ type Subject interface {
 	// batches differently).
 	Tick() []int
 	// Len reports pending timers; the executor checks it against the
-	// oracle after every tick (the quiescent instants on a staged path).
+	// oracle after every tick.
 	Len() int
 	Close()
 }

@@ -12,8 +12,8 @@ import (
 // fake clock by timer.VirtualDriver — to the core.Facility shape the
 // conformance suite speaks. One model tick is one granularity step of
 // virtual time, so the whole randomized differential run executes in
-// compressed time with zero sleeping, and the production stack (ingress
-// staging, guard, catch-up, delivery, histograms) is held to the same
+// compressed time with zero sleeping, and the production stack (admission,
+// guard, catch-up, delivery, histograms) is held to the same
 // tick-exact oracle as the bare schemes.
 type virtualFacility struct {
 	rt    *timer.Runtime

@@ -5,19 +5,17 @@ import (
 	"time"
 )
 
-// FuzzBatchIngress decodes fuzzer bytes into an arbitrary interleaving
-// of single and batched schedule/stop/reset operations against a
-// WithIngress runtime (manual driver, so every code path — staging,
-// ring-full fallback, apply, batch flush — runs deterministically) and
-// checks two properties after every operation: no panic, and the
-// conservation ledger
+// FuzzBatch decodes fuzzer bytes into an arbitrary interleaving of
+// single and batched schedule/stop/reset operations against a runtime
+// (manual driver, so every run is deterministic) and checks two
+// properties after every operation: no panic, and the conservation
+// ledger
 //
 //	started == expired + stopped + outstanding + abandoned
 //
-// which in manual mode must hold at EVERY instant, staged intents
-// included, because staged schedules are counted in Outstanding until
-// the driver applies them.
-func FuzzBatchIngress(f *testing.F) {
+// which in manual mode must hold at EVERY instant, not just at
+// quiescence.
+func FuzzBatch(f *testing.F) {
 	f.Add([]byte{0, 5, 6, 0, 2, 9, 3, 0, 6, 0})
 	f.Add([]byte{2, 255, 4, 3, 5, 0, 6, 0, 6, 0, 6, 0})
 	f.Add([]byte{0, 1, 0, 1, 3, 1, 5, 0, 2, 17, 6, 9, 4, 255})
@@ -26,13 +24,10 @@ func FuzzBatchIngress(f *testing.F) {
 			data = data[:256]
 		}
 		fc := newFakeClock()
-		// Depth 8: small enough that fuzzed batches overflow the ring
-		// and exercise the locked fallbacks alongside the staging path.
 		rt := NewRuntime(
 			WithGranularity(time.Millisecond),
 			WithNowFunc(fc.Now),
 			WithManualDriver(),
-			WithIngress(8),
 		)
 		defer rt.Close()
 
@@ -103,8 +98,17 @@ func FuzzBatchIngress(f *testing.F) {
 			case 6: // advance + poll
 				fc.Advance(time.Duration(arg%16) * time.Millisecond)
 				rt.Poll()
-			case 7: // poll without advancing (drains staged intents only)
-				rt.Poll()
+			case 7: // batched reset of a prefix
+				if len(live) > 0 {
+					n := int(arg)%len(live) + 1
+					rr := make([]ResetReq, n)
+					for j := range rr {
+						rr[j] = ResetReq{T: live[j], After: time.Duration((int(arg)+j)%32+1) * time.Millisecond}
+					}
+					if got, err := rt.ResetBatch(rr); err != nil || got != n {
+						t.Fatalf("ResetBatch(%d) = (%d, %v), want (%d, nil)", n, got, err, n)
+					}
+				}
 			}
 			check(opName(sel % 8))
 		}
@@ -130,6 +134,6 @@ func opName(sel byte) string {
 	case 6:
 		return "advance"
 	default:
-		return "poll"
+		return "reset-batch"
 	}
 }

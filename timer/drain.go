@@ -117,22 +117,8 @@ func (rt *Runtime) Drain(ctx context.Context, policy DrainPolicy) (DrainReport, 
 	close(rt.stopCh)
 	<-rt.doneCh
 
-	// Baselines come BEFORE the ingress fence: applying a staged
-	// schedule can itself shed it (a bounded scheme refusing the arm, in
-	// shedStagedLocked), and a baseline taken after the fence would
-	// subtract that shed out of the report — a staged-but-undrained
-	// admission vanishing from the ledger instead of landing in
-	// Fired/Shed/Cancelled.
 	firedBefore := rt.deliveredTotal()
 	shedBefore := rt.shedTotal()
-
-	// Fence out ingress producers and apply every intent they managed to
-	// stage: staged schedules arm (and are then disposed of by the
-	// policy like any other outstanding timer), staged stops and resets
-	// apply, and the ring stays empty for good — producers that lost
-	// the gate race fall back to the locked path, which refuses with
-	// ErrDraining.
-	rt.finishIngressDrain()
 
 	switch policy {
 	case DrainFireNow:

@@ -251,11 +251,7 @@ func (rt *Runtime) deliver(t *Timer) {
 		rt.journalFired(t)
 		// After timers are runtime-internal — no caller ever holds the
 		// *Timer — so the object recycles immediately.
-		if rt.ing != nil {
-			rt.recycleIngressTimer(t)
-		} else {
-			rt.recycleTimer(t)
-		}
+		rt.recycleTimer(t)
 		return
 	}
 	if rt.pool == nil {

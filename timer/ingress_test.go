@@ -1,5 +1,12 @@
 package timer
 
+// WithIngress is a deprecated no-op: it once routed admissions through
+// a lock-free staging ring. The benchmark harness still passes it, so
+// these tests build their runtime with it and pin that such a runtime
+// keeps the exact synchronous contract — Stop and Reset report exactly,
+// ScheduleBatch arms under the lock, and the ledger closes at every
+// step. They go with the option.
+
 import (
 	"context"
 	"math/rand"
@@ -9,24 +16,11 @@ import (
 	"time"
 )
 
-// newIngressRuntime is newManualRuntime with the batched ingress path
-// enabled.
+// newIngressRuntime is newManualRuntime built with the deprecated
+// WithIngress option.
 func newIngressRuntime(t *testing.T, opts ...RuntimeOption) (*Runtime, *fakeClock) {
 	t.Helper()
 	return newManualRuntime(t, append([]RuntimeOption{WithIngress(0)}, opts...)...)
-}
-
-// checkConservation asserts the quiescent ledger: every admission is
-// accounted as delivered, shed, stopped, outstanding, or abandoned.
-func checkConservation(t *testing.T, rt *Runtime) {
-	t.Helper()
-	started, expired, stopped := rt.Stats()
-	h := rt.Health()
-	out := uint64(rt.Outstanding())
-	if started != expired+stopped+out+h.AbandonedOnClose {
-		t.Fatalf("ledger: started=%d != expired=%d + stopped=%d + outstanding=%d + abandoned=%d",
-			started, expired, stopped, out, h.AbandonedOnClose)
-	}
 }
 
 func TestIngressScheduleFires(t *testing.T) {
@@ -35,9 +29,9 @@ func TestIngressScheduleFires(t *testing.T) {
 	if _, err := rt.AfterFunc(50*time.Millisecond, func() { close(fired) }); err != nil {
 		t.Fatalf("AfterFunc: %v", err)
 	}
-	// Not yet applied, but already admitted.
+	// Armed by the call itself, before any poll.
 	if got := rt.Outstanding(); got != 1 {
-		t.Fatalf("Outstanding before poll = %d, want 1 (staged)", got)
+		t.Fatalf("Outstanding before poll = %d, want 1", got)
 	}
 	fc.Advance(40 * time.Millisecond)
 	rt.Poll()
@@ -57,9 +51,9 @@ func TestIngressScheduleFires(t *testing.T) {
 	checkConservation(t, rt)
 }
 
-// TestIngressFirstPollAtDeadline covers the deadline anchoring: the
-// intent is applied by the same Poll whose advance crosses the
-// deadline, and must still fire on time (not a tick late).
+// TestIngressFirstPollAtDeadline covers the deadline anchoring: a timer
+// whose first poll is the one whose advance crosses its deadline must
+// still fire on time (not a tick late).
 func TestIngressFirstPollAtDeadline(t *testing.T) {
 	rt, fc := newIngressRuntime(t)
 	fired := false
@@ -79,9 +73,9 @@ func TestIngressStopBeforeApplyNeverTouchesWheel(t *testing.T) {
 		t.Fatalf("AfterFunc: %v", err)
 	}
 	if !tm.Stop() {
-		t.Fatal("Stop on a staged timer refused")
+		t.Fatal("Stop before the first poll refused")
 	}
-	rt.Poll() // applies the schedule/stop pair
+	rt.Poll()
 	if got := rt.Outstanding(); got != 0 {
 		t.Fatalf("Outstanding=%d, want 0", got)
 	}
@@ -97,7 +91,7 @@ func TestIngressStopBeforeApplyNeverTouchesWheel(t *testing.T) {
 func TestIngressStopArmed(t *testing.T) {
 	rt, fc := newIngressRuntime(t)
 	tm, _ := rt.AfterFunc(50*time.Millisecond, func() { t.Error("cancelled timer fired") })
-	rt.Poll() // arm it
+	rt.Poll()
 	if !tm.Stop() {
 		t.Fatal("Stop on an armed timer refused")
 	}
@@ -120,29 +114,12 @@ func TestIngressDoubleStop(t *testing.T) {
 	}
 }
 
-// TestIngressResetOnStagedStop is the documented semantics for the
-// latent gap: Reset racing a committed stop gets a definitive loss.
-func TestIngressResetOnStagedStop(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
-	tm, _ := rt.AfterFunc(50*time.Millisecond, func() { t.Error("stopped timer fired") })
-	if !tm.Stop() {
-		t.Fatal("Stop refused")
-	}
-	if ok, err := tm.Reset(time.Millisecond); err != ErrStopPending || ok {
-		t.Fatalf("Reset after staged stop = (%v, %v), want (false, ErrStopPending)", ok, err)
-	}
-	// The stop must still win: nothing fires.
-	fc.Advance(200 * time.Millisecond)
-	rt.Poll()
-	checkConservation(t, rt)
-}
-
 func TestIngressResetExtendsDeadline(t *testing.T) {
 	rt, fc := newIngressRuntime(t)
 	var firedAt time.Duration
 	elapsed := time.Duration(0)
 	tm, _ := rt.AfterFunc(50*time.Millisecond, func() { firedAt = elapsed })
-	rt.Poll() // arm
+	rt.Poll()
 	fc.Advance(30 * time.Millisecond)
 	elapsed = 30 * time.Millisecond
 	rt.Poll()
@@ -163,12 +140,10 @@ func TestIngressResetExtendsDeadline(t *testing.T) {
 	checkConservation(t, rt)
 }
 
-// TestIngressResetStagedTimer resets a timer whose schedule intent has
-// not been applied yet: the locked fallback path must supersede the
-// staged intent, not double-arm.
+// TestIngressResetStagedTimer resets a timer before any poll, next to a
+// second pending timer: the reset must supersede the first arm, not
+// double-arm.
 func TestIngressResetStagedTimer(t *testing.T) {
-	// Depth 2 so the reset's ring push fails (ring already holds the
-	// schedule intent plus one filler) and takes the locked fallback.
 	rt, fc := newIngressRuntime(t, WithIngress(2))
 	fires := 0
 	tm, _ := rt.AfterFunc(30*time.Millisecond, func() { fires++ })
@@ -176,7 +151,7 @@ func TestIngressResetStagedTimer(t *testing.T) {
 		t.Fatalf("filler: %v", err)
 	}
 	if wasPending, err := tm.Reset(60 * time.Millisecond); err != nil || !wasPending {
-		t.Fatalf("Reset(staged) = (%v, %v), want (true, nil)", wasPending, err)
+		t.Fatalf("Reset(pending) = (%v, %v), want (true, nil)", wasPending, err)
 	}
 	fc.Advance(40 * time.Millisecond)
 	rt.Poll()
@@ -212,8 +187,10 @@ func TestIngressAfterChannel(t *testing.T) {
 	checkConservation(t, rt)
 }
 
+// TestIngressRingFullFallsBackToLock admits more timers than the depth
+// the option is given: the depth is ignored, every one arms and fires.
 func TestIngressRingFullFallsBackToLock(t *testing.T) {
-	rt, fc := newIngressRuntime(t, WithIngress(2)) // tiny ring
+	rt, fc := newIngressRuntime(t, WithIngress(2))
 	fired := 0
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -228,37 +205,6 @@ func TestIngressRingFullFallsBackToLock(t *testing.T) {
 	rt.Poll()
 	if fired != n {
 		t.Fatalf("fired=%d, want %d", fired, n)
-	}
-	checkConservation(t, rt)
-}
-
-func TestScheduleBatchSync(t *testing.T) {
-	rt, fc := newManualRuntime(t)
-	fired := 0
-	reqs := make([]Req, 10)
-	for i := range reqs {
-		reqs[i] = Req{After: time.Duration(i+1) * 10 * time.Millisecond, Fn: func() { fired++ }}
-	}
-	reqs[3].Fn = nil // voided entry
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != ErrNilCallback {
-		t.Fatalf("ScheduleBatch err=%v, want ErrNilCallback", err)
-	}
-	if len(timers) != len(reqs) || timers[3] != nil {
-		t.Fatalf("timers len=%d, slot3=%v; want parallel slice with nil slot 3", len(timers), timers[3])
-	}
-	// Stop the last 4 in one batch.
-	if got := rt.StopBatch(timers[6:]); got != 4 {
-		t.Fatalf("StopBatch=%d, want 4", got)
-	}
-	fc.Advance(200 * time.Millisecond)
-	rt.Poll()
-	if fired != 5 { // 9 valid - 4 stopped
-		t.Fatalf("fired=%d, want 5", fired)
-	}
-	started, _, stopped := rt.Stats()
-	if started != 9 || stopped != 4 {
-		t.Fatalf("started=%d stopped=%d, want 9/4", started, stopped)
 	}
 	checkConservation(t, rt)
 }
@@ -289,12 +235,12 @@ func TestScheduleBatchIngress(t *testing.T) {
 	checkConservation(t, rt)
 }
 
-// TestScheduleBatchLargerThanRing exercises the whole-batch locked
-// fallback.
+// TestScheduleBatchLargerThanRing schedules a batch larger than the
+// depth the option is given: the whole batch arms.
 func TestScheduleBatchLargerThanRing(t *testing.T) {
 	rt, fc := newIngressRuntime(t, WithIngress(4))
 	fired := 0
-	reqs := make([]Req, 32) // 32 > ring cap 4
+	reqs := make([]Req, 32)
 	for i := range reqs {
 		reqs[i] = Req{After: 10 * time.Millisecond, Fn: func() { fired++ }}
 	}
@@ -304,7 +250,7 @@ func TestScheduleBatchLargerThanRing(t *testing.T) {
 	}
 	for _, tm := range timers {
 		if tm == nil {
-			t.Fatal("nil timer in fallback batch")
+			t.Fatal("nil timer in batch")
 		}
 	}
 	fc.Advance(10 * time.Millisecond)
@@ -325,13 +271,13 @@ func TestIngressDrainCancelsStaged(t *testing.T) {
 	if _, err := rt.ScheduleBatch(reqs); err != nil {
 		t.Fatalf("ScheduleBatch: %v", err)
 	}
-	// No Poll: everything is still staged when the drain begins.
+	// No Poll before the drain begins.
 	rep, err := rt.Drain(context.Background(), DrainCancelAll)
 	if err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	if rep.Cancelled != 16 {
-		t.Fatalf("Cancelled=%d, want 16 (staged schedules must reach the policy)", rep.Cancelled)
+		t.Fatalf("Cancelled=%d, want 16 (unpolled schedules must reach the policy)", rep.Cancelled)
 	}
 	if fired.Load() != 0 {
 		t.Fatalf("fired=%d, want 0", fired.Load())
@@ -389,38 +335,12 @@ func TestIngressEvery(t *testing.T) {
 	}
 }
 
-func TestIngressSnapshotHistograms(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
-	for i := 0; i < 10; i++ {
-		rt.AfterFunc(10*time.Millisecond, func() {})
-	}
-	fc.Advance(10 * time.Millisecond)
-	rt.Poll()
-	s := rt.Snapshot()
-	if s.IngressDepth.Count == 0 || s.IngressDrainBatch.Count == 0 {
-		t.Fatalf("ingress histograms empty: depth=%d batch=%d",
-			s.IngressDepth.Count, s.IngressDrainBatch.Count)
-	}
-	if got := s.IngressDrainBatch.Max; got != 10 {
-		t.Fatalf("IngressDrainBatch.Max=%d, want 10", got)
-	}
-}
-
-func TestWithIngressRequiresPayloadScheme(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRuntime(WithIngress, scheme1) did not panic")
-		}
-	}()
-	NewRuntime(WithIngress(0), WithScheme(NewStraightforward()), WithManualDriver())
-}
-
-// TestIngressSingleOpAllocFree keeps the staged single-timer path
-// allocation-free once warm, matching the synchronous hot path's
-// guarantee (the batch APIs allocate their result slices by design).
+// TestIngressSingleOpAllocFree keeps the single-timer path
+// allocation-free once warm (the batch APIs allocate their result
+// slices by design).
 func TestIngressSingleOpAllocFree(t *testing.T) {
 	rt, _ := newIngressRuntime(t)
-	// Warm the pool and the ring.
+	// Warm the free list.
 	for i := 0; i < 100; i++ {
 		tm, err := rt.AfterFunc(time.Second, func() {})
 		if err != nil {
@@ -440,16 +360,14 @@ func TestIngressSingleOpAllocFree(t *testing.T) {
 		rt.Poll()
 	})
 	if allocs != 0 {
-		t.Fatalf("ingress AfterFunc+Stop+Poll allocates %.1f/op, want 0", allocs)
+		t.Fatalf("AfterFunc+Stop+Poll allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestIngressOverloadHammerBatchedProducers is the race-hammer
-// satellite: producer goroutines push batches through the rings while
-// the real driver drains them, then Drain fires mid-batch. Run under
-// -race this validates the ring publication and gate protocol; the
-// assertions validate the conservation ledger and that no staged
-// Critical intent is ever shed.
+// TestIngressOverloadHammerBatchedProducers is a race hammer: producer
+// goroutines push batches while the real driver polls, then Drain or
+// Close lands mid-batch. The assertions validate the conservation
+// ledger and that no Critical timer is ever shed.
 func TestIngressOverloadHammerBatchedProducers(t *testing.T) {
 	for _, mode := range []string{"drain", "close"} {
 		t.Run(mode, func(t *testing.T) {
@@ -526,11 +444,82 @@ func TestIngressOverloadHammerBatchedProducers(t *testing.T) {
 					started, expired, stopped, h.AbandonedOnClose)
 			}
 			if shed := h.ByClass[PriorityCritical].Shed; shed != 0 {
-				t.Fatalf("critical intents shed: %d, want 0", shed)
+				t.Fatalf("critical timers shed: %d, want 0", shed)
 			}
 			if started == 0 {
 				t.Fatal("hammer admitted nothing; test is vacuous")
 			}
 		})
 	}
+}
+
+func TestResetBatchIngressArmed(t *testing.T) {
+	rt, fc := newIngressRuntime(t)
+	var fired atomic.Int64
+	reqs := make([]Req, 8)
+	for i := range reqs {
+		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
+	}
+	timers, err := rt.ScheduleBatch(reqs)
+	if err != nil {
+		t.Fatalf("ScheduleBatch: %v", err)
+	}
+	rt.Poll()
+	rr := make([]ResetReq, len(timers))
+	for i, tm := range timers {
+		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
+	}
+	n, err := rt.ResetBatch(rr)
+	if err != nil || n != 8 {
+		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
+	}
+	fc.Advance(40 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 0 {
+		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
+	}
+	fc.Advance(20 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 8 {
+		t.Fatalf("fired=%d, want 8", fired.Load())
+	}
+	checkConservation(t, rt)
+}
+
+// TestResetBatchIngressStaged resets a batch before any poll: every
+// timer must land on the new deadline without double-arming.
+func TestResetBatchIngressStaged(t *testing.T) {
+	rt, fc := newIngressRuntime(t)
+	var fired atomic.Int64
+	reqs := make([]Req, 8)
+	for i := range reqs {
+		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
+	}
+	timers, err := rt.ScheduleBatch(reqs)
+	if err != nil {
+		t.Fatalf("ScheduleBatch: %v", err)
+	}
+	rr := make([]ResetReq, len(timers))
+	for i, tm := range timers {
+		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
+	}
+	if n, err := rt.ResetBatch(rr); err != nil || n != 8 {
+		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
+	}
+	fc.Advance(40 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 0 {
+		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
+	}
+	fc.Advance(20 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 8 {
+		t.Fatalf("fired=%d, want exactly 8 (no double-arm)", fired.Load())
+	}
+	fc.Advance(time.Second)
+	rt.Poll()
+	if fired.Load() != 8 {
+		t.Fatalf("fired=%d after settling, want 8", fired.Load())
+	}
+	checkConservation(t, rt)
 }

@@ -2,32 +2,27 @@ package timer
 
 // Journal observes lifecycle transitions of tagged timers — the hook a
 // durability layer (cmd/twd's write-ahead log) hangs off so that
-// logging composes with the batched-ingress admission path without a
-// second lock acquisition per operation: every callback fires at the
-// point the facility itself settles the transition, with whatever locks
-// that point already holds, never an extra one.
+// logging composes with batched admission without a second lock
+// acquisition per operation: every callback fires at the point the
+// facility itself settles the transition, with whatever locks that
+// point already holds, never an extra one.
 //
 // Only timers scheduled with WithTag (tag != 0) are journaled; the
 // runtime's internal timers and untagged user timers cost a single nil
 // check. The callbacks must be fast, must not block, and must not call
 // back into the runtime (TimerArmed/TimerStopped run under the
 // runtime's internal lock; TimerFired and TimerShed run on the driver
-// or a dispatch worker, except for a staged admission refused by a
-// bounded scheme, whose TimerShed also runs under the lock).
+// or a dispatch worker with no runtime lock held).
 //
 // Timing guarantees, per tag:
 //
 //   - TimerArmed runs when the timer is armed in the facility, in
 //     facility order — for every (re)arm, including Reset/ResetBatch.
-//     On a WithIngress runtime that is at intent apply time, not at the
-//     (earlier) staging call.
-//   - TimerStopped runs when a cancellation settles. id is 0 when the
-//     timer was stopped while still staged (it was never armed).
+//   - TimerStopped runs when a cancellation settles.
 //   - TimerFired runs when the expiry action has actually run (or the
 //     After send was delivered), with the delivery lag in nanoseconds.
 //   - TimerShed runs when the expiry action is definitively dropped
-//     under overload (after retries), or when a staged admission is
-//     refused by a bounded scheme.
+//     under overload (after retries).
 //
 // Retry re-arms (WithShedRetry) are internal and not reported as
 // TimerArmed; the action's eventual TimerFired or TimerShed is. Timers

@@ -1,10 +1,7 @@
 package timer
 
 import (
-	"context"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -146,346 +143,5 @@ func TestJournalResetReportsRearm(t *testing.T) {
 	rt.Poll()
 	if ev := j.byTag(5); !sameKinds(ev, "armed", "armed", "fired") {
 		t.Fatalf("tag 5: %v, want [armed armed fired]", kinds(ev))
-	}
-}
-
-// TestJournalIngressArmAtApplyTime pins the documented timing: on a
-// WithIngress runtime TimerArmed runs when the intent applies (at
-// Poll), not at the staging call.
-func TestJournalIngressArmAtApplyTime(t *testing.T) {
-	j := &recordingJournal{}
-	rt, fc := newIngressRuntime(t, WithJournal(j))
-	if _, err := rt.AfterFunc(20*time.Millisecond, func() {}, WithTag(3)); err != nil {
-		t.Fatalf("AfterFunc: %v", err)
-	}
-	if ev := j.byTag(3); len(ev) != 0 {
-		t.Fatalf("journaled before apply: %v", kinds(ev))
-	}
-	rt.Poll() // applies the staged schedule
-	if ev := j.byTag(3); !sameKinds(ev, "armed") {
-		t.Fatalf("after apply: %v, want [armed]", kinds(ev))
-	}
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	if ev := j.byTag(3); !sameKinds(ev, "armed", "fired") {
-		t.Fatalf("after fire: %v, want [armed fired]", kinds(ev))
-	}
-}
-
-// TestJournalIngressStagedStopHasZeroID pins the documented id
-// semantics: a timer stopped while still staged was never armed, so
-// TimerStopped reports id 0 and no TimerArmed precedes it.
-func TestJournalIngressStagedStopHasZeroID(t *testing.T) {
-	j := &recordingJournal{}
-	rt, _ := newIngressRuntime(t, WithJournal(j))
-	tm, err := rt.AfterFunc(time.Second, func() {}, WithTag(4))
-	if err != nil {
-		t.Fatalf("AfterFunc: %v", err)
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop refused")
-	}
-	rt.Poll() // settles the schedule/stop pair
-	ev := j.byTag(4)
-	if !sameKinds(ev, "stopped") {
-		t.Fatalf("tag 4: %v, want [stopped] only", kinds(ev))
-	}
-	if ev[0].id != 0 {
-		t.Fatalf("staged stop id = %d, want 0 (never armed)", ev[0].id)
-	}
-}
-
-// TestJournalShedStagedAdmission covers the bounded-scheme refusal: a
-// staged admission whose deadline is beyond the scheme's horizon sheds
-// at apply time and must be journaled as TimerShed with id 0.
-func TestJournalShedStagedAdmission(t *testing.T) {
-	j := &recordingJournal{}
-	// Hierarchical 4x4: horizon 15 ticks = 150ms at 10ms granularity.
-	rt, _ := newIngressRuntime(t, WithJournal(j),
-		WithScheme(NewHierarchicalWheel([]int{4, 4}, MigrateAlways)))
-	if _, err := rt.AfterFunc(time.Hour, func() {}, WithTag(6)); err != nil {
-		t.Fatalf("AfterFunc: %v", err)
-	}
-	rt.Poll() // apply: the arm is refused, the admission sheds
-	ev := j.byTag(6)
-	if !sameKinds(ev, "shed") {
-		t.Fatalf("tag 6: %v, want [shed]", kinds(ev))
-	}
-	if ev[0].id != 0 {
-		t.Fatalf("shed staged id = %d, want 0 (never armed)", ev[0].id)
-	}
-	checkConservation(t, rt)
-}
-
-func TestResetBatchSync(t *testing.T) {
-	rt, fc := newManualRuntime(t)
-	fired := 0
-	reqs := make([]Req, 5)
-	for i := range reqs {
-		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired++ }}
-	}
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	rr := make([]ResetReq, 0, len(timers)+1)
-	rr = append(rr, ResetReq{}) // nil entry skipped
-	for _, tm := range timers {
-		rr = append(rr, ResetReq{T: tm, After: 50 * time.Millisecond})
-	}
-	n, err := rt.ResetBatch(rr)
-	if err != nil || n != 5 {
-		t.Fatalf("ResetBatch = (%d, %v), want (5, nil)", n, err)
-	}
-	// Old deadline (t=30ms) passes without firing.
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	if fired != 0 {
-		t.Fatalf("fired=%d at the old deadline, want 0", fired)
-	}
-	// New deadline: 20ms + 50ms = t=70ms.
-	fc.Advance(30 * time.Millisecond)
-	rt.Poll()
-	if fired != 5 {
-		t.Fatalf("fired=%d, want 5", fired)
-	}
-	checkConservation(t, rt)
-}
-
-func TestResetBatchIngressArmed(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
-	var fired atomic.Int64
-	reqs := make([]Req, 8)
-	for i := range reqs {
-		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
-	}
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	rt.Poll() // arm them all
-	rr := make([]ResetReq, len(timers))
-	for i, tm := range timers {
-		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
-	}
-	n, err := rt.ResetBatch(rr)
-	if err != nil || n != 8 {
-		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
-	}
-	fc.Advance(40 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 0 {
-		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
-	}
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 8 {
-		t.Fatalf("fired=%d, want 8", fired.Load())
-	}
-	checkConservation(t, rt)
-}
-
-// TestResetBatchIngressStaged resets timers whose schedule intents have
-// not applied yet: FIFO order arms each schedule before its reset
-// applies, so the batch must still land every timer on the new
-// deadline without double-arming.
-func TestResetBatchIngressStaged(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
-	var fired atomic.Int64
-	reqs := make([]Req, 8)
-	for i := range reqs {
-		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
-	}
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	rr := make([]ResetReq, len(timers))
-	for i, tm := range timers {
-		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
-	}
-	if n, err := rt.ResetBatch(rr); err != nil || n != 8 {
-		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
-	}
-	fc.Advance(40 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 0 {
-		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
-	}
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 8 {
-		t.Fatalf("fired=%d, want exactly 8 (no double-arm)", fired.Load())
-	}
-	fc.Advance(time.Second)
-	rt.Poll()
-	if fired.Load() != 8 {
-		t.Fatalf("fired=%d after settling, want 8", fired.Load())
-	}
-	checkConservation(t, rt)
-}
-
-func TestResetBatchRefusesCommittedStop(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
-	tmStopped, _ := rt.AfterFunc(30*time.Millisecond, func() { t.Error("stopped timer fired") })
-	var fired atomic.Int64
-	tmLive, _ := rt.AfterFunc(30*time.Millisecond, func() { fired.Add(1) })
-	if !tmStopped.Stop() {
-		t.Fatal("Stop refused")
-	}
-	n, err := rt.ResetBatch([]ResetReq{
-		{T: tmStopped, After: 60 * time.Millisecond},
-		{T: tmLive, After: 60 * time.Millisecond},
-	})
-	if err != ErrStopPending || n != 1 {
-		t.Fatalf("ResetBatch = (%d, %v), want (1, ErrStopPending)", n, err)
-	}
-	fc.Advance(60 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 1 {
-		t.Fatalf("live timer fired %d times, want 1", fired.Load())
-	}
-	checkConservation(t, rt)
-}
-
-func TestResetBatchClosedRuntime(t *testing.T) {
-	rt, _ := newManualRuntime(t)
-	tm, _ := rt.AfterFunc(time.Second, func() {})
-	rt.Close()
-	if n, err := rt.ResetBatch([]ResetReq{{T: tm, After: time.Second}}); err != ErrRuntimeClosed || n != 0 {
-		t.Fatalf("ResetBatch after Close = (%d, %v), want (0, ErrRuntimeClosed)", n, err)
-	}
-}
-
-func TestResetBatchSharded(t *testing.T) {
-	s := NewSharded(2, WithGranularity(time.Millisecond))
-	defer s.Close()
-	var fired atomic.Int64
-	// One batch per shard so the runs interleave.
-	reqs := make([]ResetReq, 0, 8)
-	for i := 0; i < 8; i++ {
-		tm, err := s.AfterFuncKey(uint64(i), time.Hour, func() { fired.Add(1) })
-		if err != nil {
-			t.Fatalf("AfterFuncKey: %v", err)
-		}
-		reqs = append(reqs, ResetReq{T: tm, After: 5 * time.Millisecond})
-	}
-	n, err := s.ResetBatch(reqs)
-	if err != nil || n != 8 {
-		t.Fatalf("Sharded.ResetBatch = (%d, %v), want (8, nil)", n, err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for fired.Load() != 8 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if fired.Load() != 8 {
-		t.Fatalf("fired=%d after reset to 5ms, want 8", fired.Load())
-	}
-}
-
-// TestDrainFireNowStagedBeyondHorizon is the deterministic half of the
-// staged-admission/drain race fix: admissions staged but not yet
-// applied when Drain(DrainFireNow) begins must land in the report's
-// ledger. The beyond-horizon ones shed at apply time — inside the
-// drain's ingress fence — and a report that took its baselines after
-// the fence would subtract them out, making them vanish.
-func TestDrainFireNowStagedBeyondHorizon(t *testing.T) {
-	// Hierarchical 4x4: horizon 15 ticks = 150ms at 10ms granularity.
-	rt, _ := newIngressRuntime(t,
-		WithScheme(NewHierarchicalWheel([]int{4, 4}, MigrateAlways)))
-	var fired atomic.Int64
-	for i := 0; i < 8; i++ {
-		if _, err := rt.AfterFunc(time.Hour, func() { fired.Add(1) }); err != nil {
-			t.Fatalf("AfterFunc(1h): %v", err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := rt.AfterFunc(50*time.Millisecond, func() { fired.Add(1) }); err != nil {
-			t.Fatalf("AfterFunc(50ms): %v", err)
-		}
-	}
-	// No Poll: all 12 admissions are still staged when the drain begins.
-	rep, err := rt.Drain(context.Background(), DrainFireNow)
-	if err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if rep.Shed != 8 {
-		t.Fatalf("report.Shed=%d, want 8 (staged beyond-horizon admissions must not vanish)", rep.Shed)
-	}
-	if rep.Fired != 4 || fired.Load() != 4 {
-		t.Fatalf("report.Fired=%d actual=%d, want 4/4", rep.Fired, fired.Load())
-	}
-	if rep.Cancelled != 0 {
-		t.Fatalf("report.Cancelled=%d, want 0", rep.Cancelled)
-	}
-	checkConservation(t, rt)
-}
-
-// TestDrainFireNowRacesLateScheduleBatch is the race hammer for the
-// same fix: producers push ScheduleBatch and ResetBatch traffic — some
-// of it beyond a bounded scheme's horizon, so staged admissions shed at
-// apply time — while Drain(DrainFireNow) lands mid-batch. Every
-// admitted timer must end up in exactly one ledger bucket.
-func TestDrainFireNowRacesLateScheduleBatch(t *testing.T) {
-	for round := 0; round < 4; round++ {
-		// Horizon 63 ticks = 63ms at 1ms granularity; intervals are drawn
-		// from [1ms, 100ms] so a fraction of admissions shed on apply.
-		rt := NewRuntime(
-			WithGranularity(time.Millisecond),
-			WithIngress(1<<8),
-			WithScheme(NewHierarchicalWheel([]int{8, 8}, MigrateAlways)),
-		)
-		const producers = 4
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(round*producers + p)))
-				noop := func() {}
-				for {
-					reqs := make([]Req, 16)
-					for i := range reqs {
-						reqs[i] = Req{
-							After: time.Duration(1+rng.Intn(100)) * time.Millisecond,
-							Fn:    noop,
-						}
-					}
-					timers, err := rt.ScheduleBatch(reqs)
-					if err != nil {
-						return // draining/closed: hammer over
-					}
-					switch rng.Intn(3) {
-					case 0:
-						rt.StopBatch(timers[:8])
-					case 1:
-						rr := make([]ResetReq, 8)
-						for i := range rr {
-							rr[i] = ResetReq{T: timers[i], After: time.Duration(1+rng.Intn(100)) * time.Millisecond}
-						}
-						rt.ResetBatch(rr)
-					}
-				}
-			}(p)
-		}
-		time.Sleep(20 * time.Millisecond)
-		// Drain lands while producers are mid-batch: staged-but-undrained
-		// intents must be applied and accounted, never dropped.
-		if _, err := rt.Drain(context.Background(), DrainFireNow); err != nil {
-			t.Fatalf("Drain: %v", err)
-		}
-		wg.Wait()
-
-		started, expired, stopped := rt.Stats()
-		h := rt.Health()
-		if started != expired+stopped+h.AbandonedOnClose {
-			t.Fatalf("round %d ledger: started=%d != expired=%d + stopped=%d + abandoned=%d",
-				round, started, expired, stopped, h.AbandonedOnClose)
-		}
-		if started == 0 {
-			t.Fatalf("round %d admitted nothing; hammer is vacuous", round)
-		}
 	}
 }

@@ -51,9 +51,6 @@ type runtimeConfig struct {
 	traceCap  int
 	traceSink io.Writer
 
-	// Batched-ingress knob; see ingress.go.
-	ingressDepth int
-
 	// Durability hook; see journal.go.
 	journal Journal
 }
@@ -105,6 +102,17 @@ func WithManualDriver() RuntimeOption {
 	return func(c *runtimeConfig) { c.manual = true }
 }
 
+// WithIngress is a no-op kept for source compatibility: it once routed
+// admissions through a lock-free staging ring, and ignores its
+// argument now that every runtime admits synchronously (DESIGN.md,
+// "Admission").
+//
+// Deprecated: admission is always synchronous; drop the option. Use
+// ScheduleBatch, StopBatch, and ResetBatch to amortize the lock.
+func WithIngress(int) RuntimeOption {
+	return func(*runtimeConfig) {}
+}
+
 // Runtime drives a Scheme from the wall clock and makes it safe for
 // concurrent use. Timers are scheduled in time.Duration terms; durations
 // round up to whole ticks so a timer never fires before its deadline.
@@ -151,18 +159,9 @@ type Runtime struct {
 	stopCh chan struct{}
 	doneCh chan struct{}
 	wake   chan struct{} // tickless driver poke; nil in ticking mode
-	// started is atomic because WithIngress producers count admissions
-	// outside rt.mu; stopped stays guarded by mu. Cancellations that
-	// WithIngress producers settle entirely on their side (stop of a
-	// still-staged timer) land in stoppedStaged instead, so the
-	// synchronous stop path never pays an atomic; Stats sums the two.
-	started       atomic.Uint64
-	stopped       uint64
-	stoppedStaged atomic.Uint64
-
-	// ing is the batched-admission staging state; nil (synchronous
-	// admission) unless WithIngress.
-	ing *ingressState
+	// Lifetime admission and cancellation counts, guarded by mu.
+	started uint64
+	stopped uint64
 
 	// freeMu guards the Timer free list and the fired-buffer pool. It is
 	// a leaf lock: acquired with rt.mu held (Poll's buffer swap) or with
@@ -257,13 +256,6 @@ type Timer struct {
 	tag uint64
 	// free links recycled Timers on the runtime's free list.
 	free *Timer
-	// lc is the ingress lifecycle word (see ingress.go): the low two
-	// bits hold the state (Stop's commit point is a CAS on it), the
-	// rest count incarnations so staged intents that outlive a recycle
-	// are recognized as stale. Packing both into one word makes every
-	// state transition also witness the incarnation it applies to.
-	// Stays zero on synchronous runtimes.
-	lc atomic.Uint32
 }
 
 // NewRuntime starts a runtime. Close it when done to release the ticking
@@ -337,17 +329,6 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 	}
 	if cfg.asyncWorkers > 0 {
 		rt.pool = dispatch.NewClass(cfg.asyncWorkers, cfg.asyncQueue, rt.runAsync)
-	}
-	if cfg.ingressDepth > 0 {
-		// Staged timers are armed and recycled by the driver, so the
-		// ingress path leans on the same ID-guarded payload machinery
-		// the zero-alloc hot path uses; a scheme without it cannot
-		// recycle safely.
-		if rt.ps == nil {
-			panic("timer: WithIngress requires a scheme with the payload fast path " +
-				"(hashed, hierarchical, or hybrid wheels); " + rt.fac.Name() + " does not provide one")
-		}
-		rt.ing = newIngressState(cfg.ingressDepth)
 	}
 	boot := rt.now()
 	rt.wall = iclock.NewWall(boot, cfg.granularity)
@@ -473,9 +454,6 @@ func (rt *Runtime) Poll() int {
 		rt.mu.Unlock()
 		return 0
 	}
-	// Apply staged admissions before advancing: an intent whose deadline
-	// lands on this very tick must be armed before the tick fires it.
-	rt.drainIngressLocked()
 	wallNow := rt.now()
 	target, back := rt.guard.Observe(wallNow)
 	if back > 0 {
@@ -613,40 +591,85 @@ func (rt *Runtime) resetInPlaceLocked(t *Timer, ticks Tick) bool {
 	return true
 }
 
-func (rt *Runtime) schedule(ticks int64, fn func(), ch chan time.Time, opts []ScheduleOption) (*Timer, error) {
-	if rt.ing != nil {
-		return rt.scheduleIngress(ticks, fn, ch, opts)
+// admitErrLocked reports why the runtime refuses to arm anything: nil
+// while it runs, ErrDraining once Drain has begun, ErrRuntimeClosed
+// after. Caller holds rt.mu.
+func (rt *Runtime) admitErrLocked() error {
+	switch {
+	case rt.closed:
+		return ErrRuntimeClosed
+	case rt.draining:
+		return ErrDraining
 	}
+	return nil
+}
+
+// armLocked starts t in the facility ticks from now (already stretched)
+// and counts, traces, and journals the arm. On error t is untouched.
+// Caller holds rt.mu.
+func (rt *Runtime) armLocked(t *Timer, ticks int64) error {
+	h, err := rt.startLocked(Tick(ticks), t)
+	if err != nil {
+		return err
+	}
+	rt.started++
+	t.h = h
+	t.id = h.TimerID()
+	t.deadline = rt.fac.Now() + Tick(ticks)
+	t.retries = 0 // every arm gets a fresh retry budget
+	rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+	rt.journalArmed(t)
+	return nil
+}
+
+// cancelLocked stops t if it is still pending in the facility, counting,
+// tracing, and journaling the cancellation. It reports false when t
+// already fired or was already stopped. The caller recycles t on true.
+// Caller holds rt.mu.
+func (rt *Runtime) cancelLocked(t *Timer) bool {
+	if rt.stopLocked(t.h, t.id) != nil {
+		return false
+	}
+	rt.stopped++
+	rt.traceRecord(TraceStopped, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+	rt.journalStopped(t)
+	return true
+}
+
+// resetLocked re-arms t ticks from now (already stretched): in place when
+// the scheme supports it, else stop + start. wasPending reports whether
+// t was still pending; the re-arm happens either way unless the facility
+// refuses the interval. Caller holds rt.mu.
+func (rt *Runtime) resetLocked(t *Timer, ticks int64) (wasPending bool, err error) {
+	if rt.resetInPlaceLocked(t, Tick(ticks)) {
+		return true, nil
+	}
+	wasPending = rt.stopLocked(t.h, t.id) == nil
+	if wasPending {
+		rt.stopped++
+	}
+	return wasPending, rt.armLocked(t, ticks)
+}
+
+func (rt *Runtime) schedule(ticks int64, fn func(), ch chan time.Time, opts []ScheduleOption) (*Timer, error) {
 	// Clock reads and the free-list pop stay outside rt.mu.
 	wallTicks := rt.wall.TicksAt(rt.now())
 	t := rt.acquireTimer()
 	t.fn, t.ch = fn, ch
-	t.prio, t.retries, t.tag = PriorityNormal, 0, 0
+	t.prio, t.tag = PriorityNormal, 0
 	for _, o := range opts {
 		o.apply(t)
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed || rt.draining {
-		err := ErrRuntimeClosed
-		if !rt.closed {
-			err = ErrDraining
-		}
-		rt.recycleTimer(t)
-		return nil, err
+	err := rt.admitErrLocked()
+	if err == nil {
+		err = rt.armLocked(t, rt.stretch(ticks, wallTicks))
 	}
-	ticks = rt.stretch(ticks, wallTicks)
-	h, err := rt.startLocked(Tick(ticks), t)
 	if err != nil {
 		rt.recycleTimer(t)
 		return nil, err
 	}
-	t.h = h
-	t.id = h.TimerID()
-	t.deadline = rt.fac.Now() + Tick(ticks)
-	rt.started.Add(1)
-	rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-	rt.journalArmed(t)
 	rt.poke() // tickless driver may need an earlier wakeup
 	return t, nil
 }
@@ -665,40 +688,24 @@ func (rt *Runtime) After(d time.Duration, opts ...ScheduleOption) (<-chan time.T
 }
 
 // Stop cancels the timer, reporting whether it was cancelled before its
-// expiry action ran (false means it already fired or was already
-// stopped). When Stop returns true the Timer is recycled and must not be
-// touched again — not even by another Stop: a retained pointer may
-// already refer to a different, re-armed timer. Concurrent Stop calls on
-// a timer that has fired (or racing with its firing) remain safe; they
-// return false.
-//
-// On a WithIngress runtime, true means the cancellation was accepted:
-// it is guaranteed to be applied before the timer could fire unless
-// the expiry action had already run when Stop was called (the exact
-// outcome lands in Stats()/Health() at the next tick). The
-// must-not-touch-again contract is the same.
+// expiry action ran (false means it already fired, is being fired, or
+// was already stopped). The report is exact: true guarantees the action
+// never runs. When Stop returns true the Timer is recycled and must not
+// be touched again — not even by another Stop or a Reset: a retained
+// pointer may already refer to a different, re-armed timer. Concurrent
+// Stop calls on a timer that has fired (or racing with its firing)
+// remain safe; they return false.
 func (t *Timer) Stop() bool {
 	rt := t.rt
-	if rt.ing != nil {
-		return rt.stopIngress(t)
-	}
 	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return false
-	}
-	if err := rt.stopLocked(t.h, t.id); err != nil {
-		rt.mu.Unlock()
-		return false
-	}
-	rt.stopped++
-	rt.traceRecord(TraceStopped, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-	rt.journalStopped(t)
+	ok := !rt.closed && rt.cancelLocked(t)
 	rt.mu.Unlock()
-	// Truly cancelled: the facility entry is already recycled (fast
-	// path); recycle the Timer object too.
-	rt.recycleTimer(t)
-	return true
+	if ok {
+		// Truly cancelled: the facility entry is already recycled (fast
+		// path); recycle the Timer object too.
+		rt.recycleTimer(t)
+	}
+	return ok
 }
 
 // Deadline reports the tick at which the timer fires (or would have).
@@ -708,59 +715,29 @@ func (t *Timer) Deadline() Tick { return t.deadline }
 // correlates its events in the flight recorder (WithTrace).
 func (t *Timer) ID() ID { return t.id }
 
-// Reset re-arms the timer to fire d from now, reporting whether it was
-// still pending when rescheduled (false means the expiry action already
-// ran or was queued to run, and will still run; the timer is re-armed
-// regardless, so the action runs again at the new deadline). This is the
-// retransmission-timer idiom: every send Resets the timeout. Reset must
-// not be used after Stop has returned true.
-//
-// On a WithIngress runtime a Reset racing a committed Stop fails with
-// ErrStopPending (definitive: the stop wins, the timer is done), and
-// wasPending reports whether this incarnation had no committed stop —
-// it may be true for a timer whose action already ran, which a
-// synchronous Reset would report as false; the re-arm happens either
-// way, so the difference is only in the report.
+// Reset re-arms the timer to fire d from now, reporting exactly whether
+// it was still pending when rescheduled (false means the expiry action
+// already ran or was queued to run, and will still run; the timer is
+// re-armed regardless, so the action runs again at the new deadline).
+// This is the retransmission-timer idiom: every send Resets the
+// timeout. Only a draining (ErrDraining) or closed (ErrRuntimeClosed)
+// runtime refuses a Reset; the timer then keeps its current deadline
+// and the drain policy disposes of it. Reset must not be used after
+// Stop has returned true.
 func (t *Timer) Reset(d time.Duration) (wasPending bool, err error) {
 	rt := t.rt
-	if rt.ing != nil {
-		return rt.resetIngress(t, d)
-	}
 	ticks := rt.wall.TicksFor(d)
 	wallTicks := rt.wall.TicksAt(rt.now())
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return false, ErrRuntimeClosed
+	if err := rt.admitErrLocked(); err != nil {
+		return false, err
 	}
-	if rt.draining {
-		// A draining runtime admits nothing new; the timer keeps its
-		// current deadline and is disposed of by the drain policy.
-		return false, ErrDraining
-	}
-	ticks = rt.stretch(ticks, wallTicks)
-	if rt.resetInPlaceLocked(t, Tick(ticks)) {
-		// Re-armed in place: still the same pending timer.
+	wasPending, err = rt.resetLocked(t, rt.stretch(ticks, wallTicks))
+	if err == nil {
 		rt.poke()
-		return true, nil
 	}
-	wasPending = rt.stopLocked(t.h, t.id) == nil
-	if wasPending {
-		rt.stopped++
-	}
-	h, err := rt.startLocked(Tick(ticks), t)
-	if err != nil {
-		return wasPending, err
-	}
-	rt.started.Add(1)
-	t.h = h
-	t.id = h.TimerID()
-	t.deadline = rt.fac.Now() + Tick(ticks)
-	t.retries = 0 // a re-armed timer gets a fresh retry budget
-	rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-	rt.journalArmed(t)
-	rt.poke()
-	return wasPending, nil
+	return wasPending, err
 }
 
 // Priority reports the timer's overload class.
@@ -776,22 +753,13 @@ func (rt *Runtime) Outstanding() int {
 	return rt.outstandingLocked()
 }
 
-// outstandingLocked counts pending timers: armed ones in the facility
-// plus — on a WithIngress runtime — schedule intents staged but not yet
-// applied (they are admitted, so the conservation ledger needs them;
-// a staged schedule whose stop is also staged stays counted until the
-// driver cancels the pair). Caller holds rt.mu.
+// outstandingLocked counts the timers armed in the facility. Caller
+// holds rt.mu.
 func (rt *Runtime) outstandingLocked() int {
 	if rt.closed {
 		return 0
 	}
-	n := rt.fac.Len()
-	if rt.ing != nil {
-		if s := rt.ing.staged.Load(); s > 0 {
-			n += int(s)
-		}
-	}
-	return n
+	return rt.fac.Len()
 }
 
 // Stats reports lifetime counters: timers started, expired, and stopped.
@@ -808,7 +776,7 @@ func (rt *Runtime) outstandingLocked() int {
 func (rt *Runtime) Stats() (started, expired, stopped uint64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.started.Load(), rt.deliveredTotal() + rt.shedTotal(), rt.stopped + rt.stoppedStaged.Load()
+	return rt.started, rt.deliveredTotal() + rt.shedTotal(), rt.stopped
 }
 
 // Close shuts the runtime down: Drain with the zero-grace DrainCancelAll

@@ -71,17 +71,6 @@ type Snapshot struct {
 	// zero-expiry polls — its shape is the paper's per-tick burstiness
 	// argument measured live (most polls empty, tails bounded).
 	TickBatch HistogramSnapshot
-	// IngressDepth distributes the staging-ring depth observed at each
-	// drain, and IngressDrainBatch the intents applied per drain
-	// (schedule + stop + reset). Both are empty unless WithIngress:
-	// depth trending toward the ring capacity means producers are
-	// outpacing the driver and admissions are spilling onto the locked
-	// fallback path.
-	IngressDepth      HistogramSnapshot
-	IngressDrainBatch HistogramSnapshot
-	// IngressStaged is the point-in-time count of schedule intents
-	// staged but not yet applied (0 unless WithIngress).
-	IngressStaged int
 	// Wheel is the scheme-geometry gauge view.
 	Wheel WheelStats
 }
@@ -143,8 +132,8 @@ func (rt *Runtime) Snapshot() Snapshot {
 		Shards:      1,
 		Granularity: rt.wall.Granularity(),
 		Now:         rt.fac.Now(),
-		Started:     rt.started.Load(),
-		Stopped:     rt.stopped + rt.stoppedStaged.Load(),
+		Started:     rt.started,
+		Stopped:     rt.stopped,
 		Outstanding: rt.outstandingLocked(),
 		Wheel:       wheelStatsOf(rt.fac),
 	}
@@ -155,13 +144,6 @@ func (rt *Runtime) Snapshot() Snapshot {
 	s.CallbackNS = rt.durHist.Snapshot()
 	s.QueueWaitNS = rt.waitHist.Snapshot()
 	s.TickBatch = rt.batchHist.Snapshot()
-	if rt.ing != nil {
-		s.IngressDepth = rt.ing.depthHist.Snapshot()
-		s.IngressDrainBatch = rt.ing.batchHist.Snapshot()
-		if n := rt.ing.staged.Load(); n > 0 {
-			s.IngressStaged = int(n)
-		}
-	}
 	return s
 }
 
@@ -191,9 +173,6 @@ func (s *Sharded) Snapshot() Snapshot {
 		out.CallbackNS.Merge(sh.CallbackNS)
 		out.QueueWaitNS.Merge(sh.QueueWaitNS)
 		out.TickBatch.Merge(sh.TickBatch)
-		out.IngressDepth.Merge(sh.IngressDepth)
-		out.IngressDrainBatch.Merge(sh.IngressDrainBatch)
-		out.IngressStaged += sh.IngressStaged
 		out.Wheel.Slots += sh.Wheel.Slots
 		out.Wheel.OccupiedSlots += sh.Wheel.OccupiedSlots
 		if sh.Wheel.MaxSlotDepth > out.Wheel.MaxSlotDepth {

@@ -163,14 +163,6 @@ func writeProm(w io.Writer, s timer.Snapshot, extra []Metric) error {
 		"Async dispatch queue wait.", s.QueueWaitNS, 1e-9)
 	b = appendHistogram(b, "tick_batch_size",
 		"Expiries delivered per poll (including empty polls).", s.TickBatch, 1)
-	if s.IngressDepth.Count > 0 || s.IngressDrainBatch.Count > 0 || s.IngressStaged > 0 {
-		gauge("ingress_staged", "Schedule intents staged in the ingress ring, not yet applied.",
-			float64(s.IngressStaged))
-		b = appendHistogram(b, "ingress_depth",
-			"Staging-ring depth observed at each drain.", s.IngressDepth, 1)
-		b = appendHistogram(b, "ingress_drain_batch_size",
-			"Staged intents applied per drain.", s.IngressDrainBatch, 1)
-	}
 
 	for _, m := range extra {
 		if m.Hist != nil {

@@ -49,10 +49,6 @@ func (rt *Runtime) ticklessLoop() {
 			rt.mu.Unlock()
 			return
 		}
-		// Staged admissions must be armed before the sleep is computed,
-		// or an intent with an earlier deadline would be slept through
-		// (its poke re-enters this recompute, which drains here).
-		rt.drainIngressLocked()
 		switch {
 		case rt.behind.Load() > 0:
 			// Mid catch-up after a clock jump: re-poll immediately; the
